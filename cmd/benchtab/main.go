@@ -12,7 +12,7 @@
 // E16 (cost-based planner stage-order wins plus scorer-cache hit rates,
 // against the same queries with both off) and E17 (streaming-ingest
 // scaling: the chunked importer vs legacy chunk-looped BulkInsert across
-// source format, chunk size and arena layout).
+// source format and chunk size).
 // Run with -exp all (default) or a single experiment id.
 //
 // Usage:

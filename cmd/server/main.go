@@ -57,8 +57,8 @@
 // tail. Concurrent mutations group-commit — they coalesce into one WAL
 // append and share one fsync; -commit-window bounds how long a mutation
 // may linger for its group (0 commits each drained group immediately)
-// and -commit-batch caps the group size (1 disables grouping). /healthz
-// reports the coalescing counters under "commit".
+// and -commit-batch caps the group size (1 = one mutation per WAL
+// frame). /healthz reports the coalescing counters under "commit".
 //
 // A durable server is always a capable replication primary: it serves
 // its WAL on /repl/v1/stream and reports connected followers on
@@ -115,7 +115,7 @@ func run(args []string) error {
 	commitWindow := fs.Duration("commit-window", bestring.DefaultCommitWindow,
 		"max time a mutation lingers for its commit group with -data-dir (0 = commit each group as soon as it is drained)")
 	commitBatch := fs.Int("commit-batch", bestring.DefaultCommitBatch,
-		"max mutations coalesced into one WAL append with -data-dir (1 = disable group commit)")
+		"max mutations coalesced into one WAL append with -data-dir (1 = one mutation per WAL frame)")
 	count := fs.Int("count", 0, "generate a synthetic database of this size when empty")
 	seed := fs.Int64("seed", 1, "generator seed for -count")
 	shards := fs.Int("shards", 0, "shard count for a synthetic or empty database (0 = GOMAXPROCS)")
@@ -196,9 +196,6 @@ func run(args []string) error {
 		}
 		if *commitWindow == 0 {
 			opts.CommitWindow = -1 // commit each drained group immediately
-		}
-		if *commitBatch == 1 {
-			opts.NoGroupCommit = true // a group of one is just a mutation
 		}
 		s, err := bestring.OpenStore(*dataDir, opts)
 		if err != nil {

@@ -58,12 +58,6 @@ func LoadDB(r io.Reader) (*DB, error) { return imagedb.Load(r) }
 // LoadDBFile reads a database snapshot from a file.
 func LoadDBFile(path string) (*DB, error) { return imagedb.LoadFile(path) }
 
-// LoadDBGob reads a gob snapshot written by DB.SaveGob.
-func LoadDBGob(r io.Reader) (*DB, error) { return imagedb.LoadGob(r) }
-
-// LoadDBGobFile reads a gob snapshot file written by DB.SaveGobFile.
-func LoadDBGobFile(path string) (*DB, error) { return imagedb.LoadGobFile(path) }
-
 // BEScorer ranks by the paper's modified-LCS similarity (the default).
 func BEScorer() Scorer { return imagedb.BEScorer() }
 

@@ -72,7 +72,7 @@ func replicationPoint(t *Table, n, paced int, pace time.Duration) error {
 		Fsync:           imagedb.FsyncInterval,
 		FsyncInterval:   5 * time.Millisecond,
 		CheckpointBytes: -1,
-		NoGroupCommit:   true,
+		CommitBatch:     1,
 	})
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 	if len(items) == 0 {
 		return nil
 	}
-	sts, err := prepareBulk(ctx, items, parallelism, db.ArenaLayout())
+	sts, err := prepareBulk(ctx, items, parallelism)
 	if err != nil {
 		return err
 	}
@@ -39,10 +39,9 @@ func (db *DB) BulkInsert(ctx context.Context, items []BulkItem, parallelism int)
 // (non-empty, unique within the batch), parallel conversion, and image
 // cloning. It returns the stored entries ready to install (sequence
 // numbers unassigned). The durable store calls it directly so a bulk
-// batch is fully validated before its WAL record is written. With arena
-// set, the entries are packed into one columnar arena slab instead of
-// being boxed individually (arena.go).
-func prepareBulk(ctx context.Context, items []BulkItem, parallelism int, arena bool) ([]*stored, error) {
+// batch is fully validated before its WAL record is written. The entries
+// are packed into one columnar arena slab (arena.go).
+func prepareBulk(ctx context.Context, items []BulkItem, parallelism int) ([]*stored, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -94,22 +93,11 @@ feed:
 	// Build the stored entries (including the image clones and their
 	// symbol signatures) before any lock is taken; only map installs and
 	// index registration remain for the critical section.
-	if arena {
-		packed := make([]arenaItem, len(items))
-		for i, it := range items {
-			packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
-		}
-		return buildArena(packed).pointers(), nil
-	}
-	sts := make([]*stored, len(items))
+	packed := make([]arenaItem, len(items))
 	for i, it := range items {
-		sig := core.SignatureOf(converted[i])
-		sts[i] = &stored{
-			Entry: Entry{ID: it.ID, Name: it.Name, Image: it.Image.Clone(), BE: converted[i]},
-			sig:   &sig,
-		}
+		packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: converted[i]}
 	}
-	return sts, nil
+	return buildArena(packed).pointers(), nil
 }
 
 // installBulk is the critical section of a bulk insert: under the writer

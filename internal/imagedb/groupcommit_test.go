@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"bestring/internal/core"
+	"bestring/internal/wal"
 )
 
 // holdCommitter parks the store's group committer before its next drain
@@ -432,25 +435,134 @@ func TestGroupCommitCloseDrains(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisabled checks the NoGroupCommit escape hatch: the
-// direct path still works, reports itself, and never coalesces.
-func TestGroupCommitDisabled(t *testing.T) {
+// TestCommitBatchOne checks the unbatched configuration: with
+// CommitBatch 1, even writers queued together commit one mutation per
+// group, so every mutation gets its own LSN, its own published version
+// and a plain WAL record — never an OpGroup frame.
+func TestCommitBatchOne(t *testing.T) {
+	const k = 6
 	dir := t.TempDir()
-	s, err := OpenStore(dir, StoreOptions{NoGroupCommit: true, CheckpointBytes: -1})
+	s, err := OpenStore(dir, StoreOptions{Fsync: FsyncAlways, CheckpointBytes: -1, CommitBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	for i := 0; i < 4; i++ {
-		if err := s.Insert(fmt.Sprintf("img%d", i), "", storeImage(i)); err != nil {
-			t.Fatal(err)
+	epoch0 := s.Epoch()
+
+	release := holdCommitter(t, s)
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = s.Insert(fmt.Sprintf("img%d", i), "", storeImage(i))
+		}(i)
+	}
+	waitQueued(t, s, k)
+	release()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("insert %d: %v", i, err)
 		}
 	}
-	st := s.StoreStats()
-	if st.Commit.Enabled || st.Commit.Groups != 0 {
-		t.Fatalf("commit stats = %+v, want disabled and zero groups", st.Commit)
+	if err := s.InsertObject("img0", core.Object{Label: "C", Box: core.NewRect(5, 5, 6, 6)}); err != nil {
+		t.Fatal(err)
 	}
-	if st.LastLSN != 4 {
-		t.Fatalf("LastLSN = %d, want one record per mutation", st.LastLSN)
+	if err := s.Delete("img1"); err != nil {
+		t.Fatal(err)
+	}
+	const mutations = k + 2
+
+	st := s.StoreStats()
+	if !st.Commit.Enabled || st.Commit.MaxBatch != 1 {
+		t.Fatalf("commit stats = %+v, want enabled with maxBatch 1", st.Commit)
+	}
+	if st.Commit.Groups != mutations || st.Commit.Mutations != mutations || st.Commit.Largest != 1 {
+		t.Fatalf("commit stats = %+v, want %d groups of one", st.Commit, mutations)
+	}
+	if st.LastLSN != mutations {
+		t.Fatalf("LastLSN = %d, want one LSN per mutation (%d)", st.LastLSN, mutations)
+	}
+	if got := s.Epoch() - epoch0; got != mutations {
+		t.Fatalf("published %d versions, want one per mutation (%d)", got, mutations)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ins, err := InspectStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Records != mutations || ins.RecordOps["group"] != 0 {
+		t.Fatalf("log holds %d records (%v), want %d plain records", ins.Records, ins.RecordOps, mutations)
+	}
+}
+
+// TestCommitBatchOneWALByteIdentical pins the claim that a lone
+// sequential writer never coalesces: the same script of mutations writes
+// byte-identical WAL segments at CommitBatch 1 and at the default cap,
+// because a group of one is framed as a plain record.
+func TestCommitBatchOneWALByteIdentical(t *testing.T) {
+	script := func(t *testing.T, batch int) map[string][]byte {
+		t.Helper()
+		dir := t.TempDir()
+		s, err := OpenStore(dir, StoreOptions{
+			Fsync: FsyncAlways, CheckpointBytes: -1, SegmentBytes: 2048, CommitBatch: batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			if err := s.Insert(fmt.Sprintf("img%02d", i), fmt.Sprintf("n%d", i), storeImage(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Insert("img03", "", storeImage(3)); !errors.Is(err, ErrDuplicate) {
+			t.Fatalf("duplicate insert = %v", err)
+		}
+		if err := s.InsertObject("img04", core.Object{Label: "C", Box: core.NewRect(6, 6, 8, 8)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.DeleteObject("img05", "A"); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete("img06"); err != nil {
+			t.Fatal(err)
+		}
+		items := make([]BulkItem, 5)
+		for i := range items {
+			items[i] = BulkItem{ID: fmt.Sprintf("bulk%d", i), Image: storeImage(20 + i)}
+		}
+		if err := s.BulkInsert(context.Background(), items, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs := make(map[string][]byte)
+		infos, err := wal.Inspect(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, info := range infos {
+			if segs[info.File], err = os.ReadFile(filepath.Join(dir, info.File)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return segs
+	}
+	one := script(t, 1)
+	def := script(t, 0)
+	if len(one) < 2 {
+		t.Fatalf("script wrote %d segments, want a rotation", len(one))
+	}
+	if len(one) != len(def) {
+		t.Fatalf("segment count: %d at CommitBatch 1, %d at the default", len(one), len(def))
+	}
+	for name, b := range one {
+		if !bytes.Equal(b, def[name]) {
+			t.Fatalf("segment %s differs between CommitBatch 1 and the default", name)
+		}
 	}
 }

@@ -88,11 +88,6 @@ type DB struct {
 	// shapes is the planner's decaying per-query-shape predicate
 	// pass-rate table (plan.go).
 	shapes shapeStats
-
-	// arenaOff disables the columnar arena layout for bulk-loaded
-	// segments (arena.go). Inverted so the zero value keeps the default:
-	// arena on.
-	arenaOff atomic.Bool
 }
 
 // New returns an empty database with the default shard count.
@@ -238,29 +233,6 @@ func (db *DB) updateImage(id string, fn func(core.Image) core.Image) error {
 	be, err := core.Convert(img)
 	if err != nil {
 		return fmt.Errorf("update %q: %w", id, err)
-	}
-	next := &stored{
-		Entry: Entry{ID: id, Name: st.Name, Image: img, BE: be},
-		seq:   st.seq,
-	}
-	m := beginTxn(cur)
-	m.replace(st, next)
-	db.publish(m)
-	return nil
-}
-
-// replaceImage swaps the stored image of id for a pre-validated
-// (image, BE-string) pair, keeping the entry's insertion sequence. The
-// durable store uses it after logging an object mutation it has already
-// simulated and converted; direct callers should go through updateImage,
-// which recomputes under the writer lock.
-func (db *DB) replaceImage(id string, img core.Image, be core.BEString) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	st, ok := cur.lookup(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
 	}
 	next := &stored{
 		Entry: Entry{ID: id, Name: st.Name, Image: img, BE: be},

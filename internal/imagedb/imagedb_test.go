@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -341,6 +342,23 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Errorf("entry %q differs after round trip", id)
 		}
 	}
+	// The loaded DB's spatial index works: a region query (answered by
+	// the R-tree) returns the same hits as on the original.
+	region := func(d *DB) *Page {
+		t.Helper()
+		page, err := d.Query(context.Background(), NewMatchQuery(), InRegion(core.NewRect(0, 0, 20, 20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return page
+	}
+	want, got := region(db), region(loaded)
+	if len(want.Hits) == 0 {
+		t.Fatal("region query matched nothing on the original")
+	}
+	if !reflect.DeepEqual(got.Hits, want.Hits) || got.Total != want.Total {
+		t.Fatalf("region hits after load = %+v, want %+v", got.Hits, want.Hits)
+	}
 }
 
 func TestLoadRejectsCorruptedBE(t *testing.T) {
@@ -379,24 +397,6 @@ func TestSaveLoadFile(t *testing.T) {
 		t.Errorf("loaded %d entries, want 3", loaded.Len())
 	}
 	if _, err := LoadFile(path + ".missing"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestSaveGobFileRoundTrip(t *testing.T) {
-	db, _ := seedDB(t, 3)
-	path := t.TempDir() + "/db.gob"
-	if err := db.SaveGobFile(path); err != nil {
-		t.Fatalf("SaveGobFile: %v", err)
-	}
-	loaded, err := LoadGobFile(path)
-	if err != nil {
-		t.Fatalf("LoadGobFile: %v", err)
-	}
-	if loaded.Len() != 3 {
-		t.Errorf("loaded %d entries, want 3", loaded.Len())
-	}
-	if _, err := LoadGobFile(path + ".missing"); err == nil {
 		t.Error("missing file accepted")
 	}
 }

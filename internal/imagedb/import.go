@@ -220,11 +220,10 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 	defer cancel()
 
 	par := imp.opts.Parallelism
-	jobs := make(chan rawChunk, par)    // reader -> workers; fixed depth = backpressure
-	done := make(chan convChunk, par)   // workers -> committer
-	readErr := make(chan error, 1)     // reader's terminal error, if any
+	jobs := make(chan rawChunk, par)  // reader -> workers; fixed depth = backpressure
+	done := make(chan convChunk, par) // workers -> committer
+	readErr := make(chan error, 1)    // reader's terminal error, if any
 	resume := !imp.opts.NoResume
-	arena := s.db.ArenaLayout()
 
 	// Reader: cut the stream into chunks. Blocks on jobs when the
 	// pipeline is full — that is the backpressure bounding memory to
@@ -269,7 +268,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 		}
 	}()
 
-	// Workers: convert, sign and (with the arena layout) pack each chunk.
+	// Workers: convert, sign and pack each chunk into an arena.
 	// A chunk whose key is already durable skips conversion entirely.
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
@@ -281,7 +280,7 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 				if resume && s.hasImportKey(rc.key) {
 					cc.skip = true
 				} else {
-					cc.sts, cc.err = prepareBulk(ctx, rc.items, 1, arena)
+					cc.sts, cc.err = prepareBulk(ctx, rc.items, 1)
 				}
 				select {
 				case done <- cc:
@@ -344,8 +343,8 @@ func (imp *Importer) Run(ctx context.Context, src ingest.Reader) (ImportStats, e
 // commitChunk is the per-chunk critical section: under the store's
 // writer lock it settles resume, validates id uniqueness against the
 // live state, appends the chunk's OpImport record (fsynced per policy)
-// and publishes it as one MVCC version. Mirrors bulkInsertDirect, with
-// the batcher bypassed — the stream is already batched.
+// and publishes it as one MVCC version. The batcher is bypassed — the
+// stream is already batched.
 func (imp *Importer) commitChunk(cc *convChunk) error {
 	s := imp.s
 	s.mu.Lock()

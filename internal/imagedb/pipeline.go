@@ -604,32 +604,30 @@ func executeOn(ctx context.Context, db *DB, snap *snapshot, q *Query, cur *curso
 			for i := range jobs {
 				c := cands[i]
 				if useBound {
-					if sig, ok := snap.signature(c.st.ID); ok {
-						boundedN[w]++
-						ub := bound(qsig, sig)
-						if ub < q.minScore {
-							// exact <= ub < MinScore: evaluating would have
-							// dropped the candidate before it was counted.
-							prunedN[w]++
-							continue
-						}
-						if q.minScore <= 0 && h.full() && worse(Result{ID: c.st.ID, Score: ub}, h.min()) {
-							// The bound already loses to this worker's top-K
-							// floor, so the exact result (<= ub) would be
-							// rejected by h.add on the same comparison. It
-							// would still have been counted in Total: its
-							// score is >= 0 >= MinScore, and it is strictly
-							// worse than the cursor position because the
-							// floor — admitted past the cursor check — is.
-							// (With MinScore > 0 the exact score could fall
-							// below the threshold and change Total, so this
-							// shortcut is taken only when the threshold
-							// cannot filter; the MinScore bound above still
-							// prunes.)
-							counts[w]++
-							prunedN[w]++
-							continue
-						}
+					boundedN[w]++
+					ub := bound(qsig, c.st.signature())
+					if ub < q.minScore {
+						// exact <= ub < MinScore: evaluating would have
+						// dropped the candidate before it was counted.
+						prunedN[w]++
+						continue
+					}
+					if q.minScore <= 0 && h.full() && worse(Result{ID: c.st.ID, Score: ub}, h.min()) {
+						// The bound already loses to this worker's top-K
+						// floor, so the exact result (<= ub) would be
+						// rejected by h.add on the same comparison. It
+						// would still have been counted in Total: its
+						// score is >= 0 >= MinScore, and it is strictly
+						// worse than the cursor position because the
+						// floor — admitted past the cursor check — is.
+						// (With MinScore > 0 the exact score could fall
+						// below the threshold and change Total, so this
+						// shortcut is taken only when the threshold
+						// cannot filter; the MinScore bound above still
+						// prunes.)
+						counts[w]++
+						prunedN[w]++
+						continue
 					}
 				}
 				evaluatedN[w]++

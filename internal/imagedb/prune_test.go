@@ -14,7 +14,7 @@ import (
 
 // seedPruneDB builds a randomized corpus through the full mutation
 // surface — bulk insert, single inserts, object updates and deletes —
-// so the signature column is exercised on every txn path.
+// so signature memoisation is exercised on every txn path.
 func seedPruneDB(t *testing.T, seed int64, n int) (*DB, *workload.Generator) {
 	t.Helper()
 	g := workload.NewGenerator(workload.Config{Seed: seed, Vocabulary: 20, Objects: 7})
@@ -55,26 +55,24 @@ func firstLabel(t *testing.T, db *DB, id string) string {
 	return e.Image.Objects[0].Label
 }
 
-// TestSignatureColumnMatchesEntries pins the column invariant: every
-// version's signature column holds exactly SignatureOf(entry.BE) for
-// exactly the stored ids, across bulk/single/update/delete paths.
+// TestSignatureColumnMatchesEntries pins the signature invariant: every
+// installed entry carries a memoised signature (stored.sig) holding
+// exactly SignatureOf(entry.BE), across bulk/single/update/delete paths.
 func TestSignatureColumnMatchesEntries(t *testing.T) {
 	db, _ := seedPruneDB(t, 99, 40)
 	snap := db.current.Load()
 	total := 0
 	for _, sv := range snap.shards {
-		if len(sv.sigs) != len(sv.entries) {
-			t.Fatalf("column size %d != entries %d", len(sv.sigs), len(sv.entries))
+		if len(sv.scan) != len(sv.entries) {
+			t.Fatalf("scan column size %d != entries %d", len(sv.scan), len(sv.entries))
 		}
 		for id, st := range sv.entries {
 			total++
-			want := core.SignatureOf(st.BE)
-			got, ok := sv.sigs[id]
-			if !ok {
+			if st.sig == nil {
 				t.Fatalf("no signature for %q", id)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("signature for %q = %+v, want %+v", id, got, want)
+			if want := core.SignatureOf(st.BE); !reflect.DeepEqual(*st.sig, want) {
+				t.Fatalf("signature for %q = %+v, want %+v", id, *st.sig, want)
 			}
 		}
 	}
@@ -86,7 +84,7 @@ func TestSignatureColumnMatchesEntries(t *testing.T) {
 // TestBoundDominatesExactInEngine is the engine-level half of the
 // proof-pinning property test: over three seeds, for every stored entry
 // and every bound-declaring registered scorer, the bound computed from
-// the snapshot's signature column must dominate the exact score the
+// the entry's memoised signature must dominate the exact score the
 // scorer returns. Together with the math-level test in
 // internal/similarity this guarantees pruning can never drop a true
 // result.
@@ -114,11 +112,10 @@ func TestBoundDominatesExactInEngine(t *testing.T) {
 					qsig := core.SignatureOf(qbe)
 					for _, id := range db.IDs() {
 						st, _ := snap.lookup(id)
-						sig, ok := snap.signature(id)
-						if !ok {
+						if st.sig == nil {
 							t.Fatalf("no signature for %q", id)
 						}
-						ub := bound(qsig, sig)
+						ub := bound(qsig, *st.sig)
 						exact := scorer(img, qbe, st.Entry)
 						if ub < exact {
 							t.Fatalf("scorer %s query %d entry %s: bound %.9f < exact %.9f",
@@ -281,8 +278,8 @@ func TestStageCountsAndStats(t *testing.T) {
 
 // TestSignatureColumnSurvivesPersistence pins that signatures are
 // derived, not stored: a save/load round trip (which carries no
-// signature bytes) rebuilds the column, and pruned rankings on the
-// loaded database match the original.
+// signature bytes) rebuilds every entry's signature, and pruned rankings
+// on the loaded database match the original.
 func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	ctx := context.Background()
 	db, g := seedPruneDB(t, 31, 40)
@@ -298,8 +295,10 @@ func TestSignatureColumnSurvivesPersistence(t *testing.T) {
 	}
 	snap := loaded.current.Load()
 	for _, sv := range snap.shards {
-		if len(sv.sigs) != len(sv.entries) {
-			t.Fatalf("loaded column size %d != entries %d", len(sv.sigs), len(sv.entries))
+		for id, st := range sv.entries {
+			if st.sig == nil || !reflect.DeepEqual(*st.sig, core.SignatureOf(st.BE)) {
+				t.Fatalf("loaded entry %q: signature not rebuilt", id)
+			}
 		}
 	}
 	want, err := db.Query(ctx, NewQuery(img), WithK(10))

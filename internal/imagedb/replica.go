@@ -282,29 +282,16 @@ func applyRecordTxn(db *DB, m *txn, rec *wal.Record) error {
 				return fmt.Errorf("bulk item %q: %w", rec.Items[i].ID, ErrDuplicate)
 			}
 		}
-		if db.ArenaLayout() {
-			packed := make([]arenaItem, len(rec.Items))
-			for i := range rec.Items {
-				it := &rec.Items[i]
-				be, err := core.Convert(it.Image)
-				if err != nil {
-					return fmt.Errorf("bulk item %q: %w", it.ID, err)
-				}
-				packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: be}
-			}
-			for _, st := range buildArena(packed).pointers() {
-				st.seq = db.seq.Add(1)
-				m.add(st)
-			}
-			break
-		}
+		packed := make([]arenaItem, len(rec.Items))
 		for i := range rec.Items {
 			it := &rec.Items[i]
 			be, err := core.Convert(it.Image)
 			if err != nil {
 				return fmt.Errorf("bulk item %q: %w", it.ID, err)
 			}
-			st := &stored{Entry: Entry{ID: it.ID, Name: it.Name, Image: it.Image.Clone(), BE: be}}
+			packed[i] = arenaItem{id: it.ID, name: it.Name, img: it.Image, be: be}
+		}
+		for _, st := range buildArena(packed).pointers() {
 			st.seq = db.seq.Add(1)
 			m.add(st)
 		}

@@ -231,7 +231,7 @@ func TestPruneFloorRetainsSegments(t *testing.T) {
 		Fsync:           FsyncAlways,
 		SegmentBytes:    512,
 		CheckpointBytes: -1, // manual checkpoints only
-		NoGroupCommit:   true,
+		CommitBatch:     1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,17 +37,13 @@ type snapshot struct {
 	count   int
 }
 
-// shardView is one partition of one version: the entries, this shard's
-// slice of the inverted label index (icon label -> image ids), and the
-// signature column (image id -> symbol signature) that feeds the
-// filter-and-refine ranking stage. Signatures are derived data — a pure
-// function of the entry's BE-string, computed once when the entry is
-// installed, never logged or persisted, and rebuilt for free on
-// recovery because recovery replays through the same install path.
+// shardView is one partition of one version: the entries and this
+// shard's slice of the inverted label index (icon label -> image ids).
+// Each entry carries its own symbol signature (stored.sig), which feeds
+// the filter-and-refine ranking stage.
 type shardView struct {
 	entries map[string]*stored
 	labels  map[string]map[string]bool
-	sigs    map[string]core.Signature
 	// scan is the shard's scan column: the same *stored pointers as
 	// entries, kept in insertion order in a plain slice. Full scans
 	// (collect without a prefilter) walk it instead of the map, so
@@ -70,7 +66,6 @@ func emptySnapshot(nshards int) *snapshot {
 		s.shards[i] = &shardView{
 			entries: make(map[string]*stored),
 			labels:  make(map[string]map[string]bool),
-			sigs:    make(map[string]core.Signature),
 		}
 	}
 	return s
@@ -97,13 +92,6 @@ func (s *snapshot) shardFor(id string) *shardView {
 func (s *snapshot) lookup(id string) (*stored, bool) {
 	st, ok := s.shardFor(id).entries[id]
 	return st, ok
-}
-
-// signature reads id's symbol signature from this version's signature
-// column. Like every snapshot read it touches only frozen maps.
-func (s *snapshot) signature(id string) (core.Signature, bool) {
-	sig, ok := s.shardFor(id).sigs[id]
-	return sig, ok
 }
 
 // collect gathers this version's entries, optionally pruned to images
@@ -222,16 +210,12 @@ func (m *txn) shard(idx int) *shardView {
 		sv := &shardView{
 			entries: make(map[string]*stored, len(src.entries)+1),
 			labels:  make(map[string]map[string]bool, len(src.labels)),
-			sigs:    make(map[string]core.Signature, len(src.sigs)+1),
 		}
 		for k, v := range src.entries {
 			sv.entries[k] = v
 		}
 		for k, v := range src.labels {
 			sv.labels[k] = v
-		}
-		for k, v := range src.sigs {
-			sv.sigs[k] = v
 		}
 		sv.scan = append(make([]*stored, 0, len(src.scan)+1), src.scan...)
 		m.shards[idx] = sv
@@ -291,13 +275,11 @@ func (m *txn) unindexLabel(idx int, sv *shardView, label, id string) {
 	}
 }
 
-// add installs a new stored entry (id must not exist in the base),
-// populating the signature column from the entry's precomputed
-// signature. When the caller did not precompute one outside the writer
-// lock, the signature is derived here — once — and memoised on the
-// entry, so no later read (the refine stage's bound checks in
-// particular) ever re-derives it. st is not yet published, so writing
-// st.sig is safe.
+// add installs a new stored entry (id must not exist in the base).
+// When the caller did not precompute the entry's signature outside the
+// writer lock, it is derived here — once — and memoised on the entry,
+// so no later read (the refine stage's bound checks in particular) ever
+// re-derives it. st is not yet published, so writing st.sig is safe.
 func (m *txn) add(st *stored) {
 	idx := shardIndex(st.ID, len(m.shards))
 	sv := m.shard(idx)
@@ -306,7 +288,6 @@ func (m *txn) add(st *stored) {
 		sig := core.SignatureOf(st.BE)
 		st.sig = &sig
 	}
-	sv.sigs[st.ID] = *st.sig
 	sv.scan = append(sv.scan, st)
 	t := m.tree()
 	for _, o := range st.Image.Objects {
@@ -321,7 +302,6 @@ func (m *txn) remove(st *stored) {
 	idx := shardIndex(st.ID, len(m.shards))
 	sv := m.shard(idx)
 	delete(sv.entries, st.ID)
-	delete(sv.sigs, st.ID)
 	for i, cur := range sv.scan {
 		if cur == st {
 			sv.scan = append(sv.scan[:i], sv.scan[i+1:]...)
@@ -337,8 +317,8 @@ func (m *txn) remove(st *stored) {
 }
 
 // replace swaps old for next under the same id (an object-level update;
-// the insertion sequence is preserved by the caller). The signature
-// column entry is recomputed with the new BE-string.
+// the insertion sequence is preserved by the caller). next's signature
+// is derived from its new BE-string unless the caller supplied one.
 func (m *txn) replace(old, next *stored) {
 	idx := shardIndex(old.ID, len(m.shards))
 	sv := m.shard(idx)
@@ -352,7 +332,6 @@ func (m *txn) replace(old, next *stored) {
 		sig := core.SignatureOf(next.BE)
 		next.sig = &sig
 	}
-	sv.sigs[next.ID] = *next.sig
 	for i, cur := range sv.scan {
 		if cur == old {
 			sv.scan[i] = next

@@ -1,7 +1,6 @@
 package imagedb
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -245,40 +244,5 @@ func TestBulkInsertAllOrNothing(t *testing.T) {
 	// Empty batch is a no-op.
 	if err := db.BulkInsert(context.Background(), nil, 2); err != nil {
 		t.Errorf("empty batch: %v", err)
-	}
-}
-
-func TestGobRoundTrip(t *testing.T) {
-	db := New()
-	gen := workload.NewGenerator(workload.Config{Seed: 3, Vocabulary: 20})
-	for i := 0; i < 6; i++ {
-		if err := db.Insert(fmt.Sprintf("g%d", i), "gob", gen.Scene()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := db.SaveGob(&buf); err != nil {
-		t.Fatalf("SaveGob: %v", err)
-	}
-	loaded, err := LoadGob(&buf)
-	if err != nil {
-		t.Fatalf("LoadGob: %v", err)
-	}
-	if loaded.Len() != db.Len() {
-		t.Fatalf("loaded %d, want %d", loaded.Len(), db.Len())
-	}
-	for _, id := range db.IDs() {
-		a, _ := db.Get(id)
-		b, ok := loaded.Get(id)
-		if !ok || !a.BE.Equal(b.BE) {
-			t.Errorf("entry %q differs after gob round trip", id)
-		}
-	}
-	// Loaded DB has working secondary indexes.
-	if hits := loaded.SearchRegion(core.NewRect(0, 0, 100, 100), ""); len(hits) == 0 {
-		t.Error("gob-loaded db has empty spatial index")
-	}
-	if _, err := LoadGob(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage gob accepted")
 	}
 }

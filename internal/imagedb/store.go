@@ -70,13 +70,9 @@ type StoreOptions struct {
 	// writer never waits. See groupcommit.go.
 	CommitWindow time.Duration
 	// CommitBatch caps the mutations coalesced into one commit group
-	// (0 means 128).
+	// (0 means 128). 1 commits every mutation as its own plain WAL
+	// record, fsync and version.
 	CommitBatch int
-	// NoGroupCommit disables commit coalescing entirely: every mutation
-	// is validated, logged, fsynced and published on its own, as before
-	// group commit existed. This is the E11b baseline and a debugging
-	// escape hatch, not a recommended configuration.
-	NoGroupCommit bool
 	// Replica opens the store as a read-only replication follower: local
 	// mutations return ErrReadOnlyReplica and state advances only through
 	// ApplyReplicatedBatch, which replays the primary's WAL records into
@@ -105,7 +101,7 @@ type Store struct {
 
 	// batcher coalesces concurrent mutations into commit groups sharing
 	// one WAL frame, one fsync and one published version (groupcommit.go);
-	// nil when NoGroupCommit routes every mutation down the direct path.
+	// nil on a replica, which takes no local mutations.
 	batcher *batcher
 
 	// mu serialises mutations: WAL append order must equal apply order,
@@ -326,7 +322,7 @@ func OpenStore(dataDir string, opts StoreOptions) (*Store, error) {
 		log.Close()
 		return nil, fmt.Errorf("open store: %w", err)
 	}
-	if !opts.NoGroupCommit && !opts.Replica {
+	if !opts.Replica {
 		s.batcher = newBatcher(s, opts.CommitWindow, opts.CommitBatch)
 	}
 	ok = true
@@ -434,9 +430,6 @@ func (s *Store) Insert(id, name string, img core.Image) error {
 	if s.opts.Replica {
 		return ErrReadOnlyReplica
 	}
-	if s.batcher == nil {
-		return s.insertDirect(id, name, img)
-	}
 	if id == "" {
 		return ErrEmptyID
 	}
@@ -461,39 +454,10 @@ func (s *Store) Insert(id, name string, img core.Image) error {
 	})
 }
 
-func (s *Store) insertDirect(id, name string, img core.Image) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	if id == "" {
-		return ErrEmptyID
-	}
-	if s.db.Has(id) {
-		return fmt.Errorf("insert %q: %w", id, ErrDuplicate)
-	}
-	be, err := core.Convert(img)
-	if err != nil {
-		return fmt.Errorf("insert %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpInsert, ID: id, Name: name, Image: &img}); err != nil {
-		return err
-	}
-	if err := s.db.insertConverted(id, name, img, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
-}
-
 // Delete durably removes the image with the given id.
 func (s *Store) Delete(id string) error {
 	if s.opts.Replica {
 		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.deleteDirect(id)
 	}
 	if !s.db.Has(id) {
 		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
@@ -504,25 +468,6 @@ func (s *Store) Delete(id string) error {
 	})
 }
 
-func (s *Store) deleteDirect(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	if !s.db.Has(id) {
-		return fmt.Errorf("delete %q: %w", id, ErrNotFound)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpDelete, ID: id}); err != nil {
-		return err
-	}
-	if err := s.db.Delete(id); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
-}
-
 // InsertObject durably adds an object to a stored image. The new image
 // is validated against the commit group's transaction state (which may
 // include earlier mutations of the same group), so the conversion runs
@@ -530,9 +475,6 @@ func (s *Store) deleteDirect(id string) error {
 func (s *Store) InsertObject(id string, o core.Object) error {
 	if s.opts.Replica {
 		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.insertObjectDirect(id, o)
 	}
 	if !s.db.Has(id) {
 		return fmt.Errorf("update %q: %w", id, ErrNotFound)
@@ -543,38 +485,10 @@ func (s *Store) InsertObject(id string, o core.Object) error {
 	})
 }
 
-func (s *Store) insertObjectDirect(id string, o core.Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	e, ok := s.db.Get(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	next := e.Image.WithObject(o)
-	be, err := core.Convert(next)
-	if err != nil {
-		return fmt.Errorf("update %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpInsertObject, ID: id, Object: &o}); err != nil {
-		return err
-	}
-	if err := s.db.replaceImage(id, next, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
-}
-
 // DeleteObject durably removes a labelled object from a stored image.
 func (s *Store) DeleteObject(id, label string) error {
 	if s.opts.Replica {
 		return ErrReadOnlyReplica
-	}
-	if s.batcher == nil {
-		return s.deleteObjectDirect(id, label)
 	}
 	if !s.db.Has(id) {
 		return fmt.Errorf("update %q: %w", id, ErrNotFound)
@@ -585,34 +499,6 @@ func (s *Store) DeleteObject(id, label string) error {
 	})
 }
 
-func (s *Store) deleteObjectDirect(id, label string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	e, ok := s.db.Get(id)
-	if !ok {
-		return fmt.Errorf("update %q: %w", id, ErrNotFound)
-	}
-	next, found := e.Image.WithoutObject(label)
-	if !found {
-		return fmt.Errorf("delete object %q from %q: %w", label, id, ErrNotFound)
-	}
-	be, err := core.Convert(next)
-	if err != nil {
-		return fmt.Errorf("update %q: %w", id, err)
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpDeleteObject, ID: id, Label: label}); err != nil {
-		return err
-	}
-	if err := s.db.replaceImage(id, next, be); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
-}
-
 // bulkChunkThreshold is the conservative size estimate above which a
 // bulk batch is routed through the chunked import path instead of one
 // WAL record: well under the wal.MaxRecordBytes frame bound, with room
@@ -620,8 +506,8 @@ func (s *Store) deleteObjectDirect(id, label string) error {
 // it without building multi-megabyte batches.
 var bulkChunkThreshold = int64(maxGroupBytes)
 
-// bulkSizeHint conservatively estimates the encoded WAL size of a batch
-// (the same per-item arithmetic the group committer uses).
+// bulkSizeHint conservatively estimates the encoded WAL size of a batch;
+// it is also the batch's size in the commit queue.
 func bulkSizeHint(items []BulkItem) int64 {
 	size := int64(96)
 	for i := range items {
@@ -651,58 +537,25 @@ func (s *Store) BulkInsert(ctx context.Context, items []BulkItem, parallelism in
 	if len(items) == 0 {
 		return nil
 	}
-	if bulkSizeHint(items) > bulkChunkThreshold {
+	size := bulkSizeHint(items)
+	if size > bulkChunkThreshold {
 		return s.importOversizedBulk(ctx, items, parallelism)
 	}
-	if s.batcher == nil {
-		return s.bulkInsertDirect(ctx, items, parallelism)
-	}
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout())
+	sts, err := prepareBulk(ctx, items, parallelism)
 	if err != nil {
 		return err
 	}
 	recItems := make([]wal.BulkItem, len(items))
-	size := 96
 	for i, it := range items {
 		recItems[i] = wal.BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
-		size += 96 + 2*(len(it.ID)+len(it.Name)) + imageSizeHint(&it.Image)
 	}
 	err = s.batcher.submit(&commitReq{
-		kind: commitBulk, sts: sts, items: recItems, size: size,
+		kind: commitBulk, sts: sts, items: recItems, size: int(size),
 	})
 	if err != nil && !errors.Is(err, ErrDuplicate) && !errors.Is(err, ErrStoreClosed) {
 		return fmt.Errorf("bulk insert (%d items): %w", len(items), err)
 	}
 	return err
-}
-
-func (s *Store) bulkInsertDirect(ctx context.Context, items []BulkItem, parallelism int) error {
-	sts, err := prepareBulk(ctx, items, parallelism, s.db.ArenaLayout())
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrStoreClosed
-	}
-	for _, st := range sts {
-		if s.db.Has(st.ID) {
-			return fmt.Errorf("bulk insert %q: %w", st.ID, ErrDuplicate)
-		}
-	}
-	recItems := make([]wal.BulkItem, len(items))
-	for i, it := range items {
-		recItems[i] = wal.BulkItem{ID: it.ID, Name: it.Name, Image: it.Image}
-	}
-	if _, err := s.append(wal.Record{Op: wal.OpBulk, Items: recItems}); err != nil {
-		return fmt.Errorf("bulk insert (%d items): %w", len(items), err)
-	}
-	if err := s.db.installBulk(sts); err != nil {
-		return err
-	}
-	s.markVisibleLocked(s.appliedLSN)
-	return nil
 }
 
 // Checkpoint writes a snapshot of the current state next to the log and
@@ -855,7 +708,7 @@ type StoreStats struct {
 func (s *Store) StoreStats() StoreStats {
 	s.commitMu.Lock()
 	commit := CommitStats{
-		Enabled:   s.batcher != nil,
+		Enabled:   !s.opts.Replica,
 		Groups:    s.commitTally.groups,
 		Mutations: s.commitTally.mutations,
 		Rejected:  s.commitTally.rejected,
